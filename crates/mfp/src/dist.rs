@@ -8,10 +8,11 @@
 //! of half-a-subdomain width with up to eight neighbors — **once** per
 //! iteration (the relaxed synchronization of §4.2). A final dense pass
 //! fills the owned atomic subdomains and an allgather assembles the global
-//! solution.
+//! solution. Sweeps and the dense pass run the sequential engine's
+//! subdomain kernel ([`Mfp`]) on the rank's local grid.
 
-use crate::domain::{DomainSpec, Subdomain};
-use crate::seq::{sweep_batch_shifted, MaeTarget};
+use crate::domain::{DomainSpec, Region, Subdomain};
+use crate::seq::{assert_positive_periods, MaeTarget, Mfp, Shift, Targets};
 use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
 use mf_dist::{
@@ -47,13 +48,14 @@ pub struct DistMfpConfig {
     /// Fault injection for the cluster's links ([`FaultPlan::none`] keeps
     /// the lossless PR-1 semantics).
     pub plan: FaultPlan,
-    /// Degraded mode: bound each halo exchange by [`Self::halo_timeout`]
-    /// and *reuse the stale halo* from the previous exchange when a
-    /// neighbor misses the deadline, instead of blocking the iteration.
+    /// Degraded mode: bound each neighbor's halo receive by
+    /// [`Self::halo_timeout`] and *reuse the stale halo* from the previous
+    /// exchange when that neighbor misses the deadline, instead of
+    /// blocking the iteration.
     /// The Schwarz fixed point is unchanged — stale interface data only
     /// slows convergence (the same trade as `comm_every > 1`).
     pub degraded_halos: bool,
-    /// Per-exchange deadline in degraded mode.
+    /// Per-neighbor receive deadline in degraded mode.
     pub halo_timeout: Duration,
     /// Overlapped schedule (default): post the halo exchange
     /// non-blocking, sweep the interior subdomains while it is in
@@ -69,6 +71,10 @@ pub struct DistMfpConfig {
     /// Alpha–beta model used by the per-rank overlap accounting
     /// (`dist.overlap_ratio` and friends).
     pub perf_model: PerfModel,
+    /// The operator (Laplace by default; see [`Shift`]). Every rank
+    /// reads the shared forcing field; only lattice values are
+    /// communicated, exactly as in the Laplace case.
+    pub shift: Shift,
 }
 
 impl Default for DistMfpConfig {
@@ -87,6 +93,7 @@ impl Default for DistMfpConfig {
             overlap: true,
             flat_collectives: false,
             perf_model: PerfModel::a30_cluster(),
+            shift: Shift::default(),
         }
     }
 }
@@ -144,8 +151,6 @@ struct Partition<'a> {
     domain: &'a DomainSpec,
     grid: CartesianGrid,
 }
-
-type Region = (std::ops::Range<usize>, std::ops::Range<usize>);
 
 /// Watch-mode side channel: gather every rank's per-atomic-subdomain
 /// residual (mean |u − prev| over the window) and render the lattice
@@ -280,46 +285,31 @@ impl<'a> Partition<'a> {
     /// with zero heap allocations (gated as `overlap.warm_allocs`).
     fn pack_into(&self, grid: &Tensor, region: &Region, out: &mut Vec<f64>) {
         out.clear();
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    out.push(grid.get(j, i));
-                }
-            }
-        }
+        out.extend(
+            self.domain
+                .lattice_points(region)
+                .map(|(j, i)| grid.get(j, i)),
+        );
     }
 
-    /// Inverse of [`Partition::pack`].
+    /// Inverse of [`Partition::pack_into`].
     fn unpack(&self, grid: &mut Tensor, region: &Region, data: &[f64]) {
         let mut k = 0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    grid.set(j, i, data[k]);
-                    k += 1;
-                }
-            }
+        for (j, i) in self.domain.lattice_points(region) {
+            grid.set(j, i, data[k]);
+            k += 1;
         }
         assert_eq!(k, data.len(), "halo unpack: size mismatch");
     }
 
-    /// All grid values of a region, row-major (final gather), into a
-    /// reused buffer.
-    fn pack_dense_into(&self, grid: &Tensor, region: &Region, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve_exact(region.0.len() * region.1.len());
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                out.push(grid.get(j, i));
-            }
-        }
-    }
-
     /// All grid values of a region, row-major (final gather).
     fn pack_dense(&self, grid: &Tensor, region: &Region) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.pack_dense_into(grid, region, &mut out);
-        out
+        let cols = &region.1;
+        region
+            .0
+            .clone()
+            .flat_map(|j| cols.clone().map(move |i| grid.get(j, i)))
+            .collect()
     }
 
     fn unpack_dense(&self, grid: &mut Tensor, region: &Region, data: &[f64]) {
@@ -330,47 +320,6 @@ impl<'a> Partition<'a> {
                 k += 1;
             }
         }
-    }
-
-    /// Sum of squared lattice values over the owned region.
-    fn owned_lattice_sumsq(&self, grid: &Tensor, region: &Region) -> f64 {
-        let mut acc = 0.0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    let v = grid.get(j, i);
-                    acc += v * v;
-                }
-            }
-        }
-        acc
-    }
-
-    fn owned_lattice_diff_sumsq(&self, a: &Tensor, b: &Tensor, region: &Region) -> f64 {
-        let mut acc = 0.0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    let d = a.get(j, i) - b.get(j, i);
-                    acc += d * d;
-                }
-            }
-        }
-        acc
-    }
-
-    fn owned_lattice_absdiff_count(&self, a: &Tensor, b: &Tensor, region: &Region) -> (f64, usize) {
-        let mut acc = 0.0;
-        let mut n = 0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    acc += (a.get(j, i) - b.get(j, i)).abs();
-                    n += 1;
-                }
-            }
-        }
-        (acc, n)
     }
 }
 
@@ -466,120 +415,252 @@ fn split_sweep_groups(
     (interior, boundary)
 }
 
-/// Reduce and act on stop-check sums stashed by a previous iteration:
-/// the one-deep pipelined convergence check of the overlapped schedule
-/// (the alternating path calls this immediately after stashing, i.e.
-/// at depth zero). Returns `true` when a stop criterion fired. The
-/// convergence delta is evaluated before the MAE target, matching the
-/// alternating order; when the delta converges, a stashed MAE check is
-/// dropped un-reduced, exactly as the alternating path skips it.
-#[allow(clippy::too_many_arguments)]
-fn complete_pending_checks(
-    comm: &mut Communicator,
-    cfg: &DistMfpConfig,
-    part: &Partition<'_>,
-    owned: &Region,
-    u: &Tensor,
-    watch_prev: Option<&Tensor>,
-    pending_conv: &mut Option<(usize, [f64; 2])>,
-    pending_mae: &mut Option<(usize, [f64; 2])>,
-    deltas: &mut Vec<f64>,
-    mae_history: &mut Vec<(usize, f64)>,
-    h_residual: &Histogram,
-    stall: &mut StallDetector,
-    stalls_counter: &Counter,
-    stall_stale_counter: &Counter,
-    stale_halos: usize,
-    stale_at_window: &mut usize,
-) -> bool {
-    if let Some((at_iter, mut nums)) = pending_conv.take() {
-        comm.allreduce_sum(&mut nums);
-        let delta = (nums[0] / nums[1].max(f64::MIN_POSITIVE)).sqrt();
-        h_residual.record(delta);
-        deltas.push(delta);
-        let stalled = stall.observe(delta);
-        if stalled {
-            stalls_counter.incr();
-            let stale_in_window = (stale_halos - *stale_at_window) as u64;
-            stall_stale_counter.add(stale_in_window);
-            mf_observe::record(RecKind::Health, "mfp.stall", stale_in_window, delta);
+/// A rank's stop checks (Algorithm 2, line 5): local sums stashed after
+/// each sweep and reduced by [`Checks::complete`] — at once on the
+/// alternating schedule, one iteration later (riding alongside the next
+/// sweep) on the overlapped one.
+struct Checks<'c> {
+    cfg: &'c DistMfpConfig,
+    domain: &'c DomainSpec,
+    owned: &'c Region,
+    conv: Option<(usize, [f64; 2])>,
+    mae: Option<(usize, [f64; 2])>,
+    deltas: Vec<f64>,
+    mae_history: Vec<(usize, f64)>,
+    h_residual: Histogram,
+    // Convergence watchdog: trips after 5 residual checks without a
+    // ≥ 1% improvement; in degraded mode the stale-halo delta over the
+    // same window attributes the stall to a late neighbor.
+    stall: StallDetector,
+    stalls: Counter,
+    stall_stale: Counter,
+    stale_at_window: usize,
+}
+
+impl<'c> Checks<'c> {
+    fn new(cfg: &'c DistMfpConfig, domain: &'c DomainSpec, owned: &'c Region) -> Self {
+        Self {
+            cfg,
+            domain,
+            owned,
+            conv: None,
+            mae: None,
+            deltas: Vec::new(),
+            mae_history: Vec::new(),
+            h_residual: histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12)),
+            stall: StallDetector::new(5),
+            stalls: counter("mfp.stalls"),
+            stall_stale: counter("mfp.stall_stale_halos"),
+            stale_at_window: 0,
         }
-        if mf_observe::watch_enabled() {
-            if let Some(prev) = watch_prev {
+    }
+
+    /// Stash the local sums of the checks due after `iterations`. They
+    /// read only owned lattice cells, which no halo unpack ever writes,
+    /// so stashing before an in-flight exchange completes loses nothing.
+    fn stash(&mut self, iterations: usize, u: &Tensor, prev: &Tensor) {
+        let (d, owned) = (self.domain, self.owned);
+        if self.cfg.tol > 0.0 && iterations.is_multiple_of(self.cfg.check_every) {
+            let sums = [
+                d.lattice_diff_sumsq(u, prev, owned),
+                d.lattice_sumsq(prev, owned),
+            ];
+            self.conv = Some((iterations, sums));
+        }
+        if let Some(t) = &self.cfg.target {
+            if iterations.is_multiple_of(t.every) {
+                let (abs, n) = d.lattice_absdiff(u, &t.reference, owned);
+                self.mae = Some((iterations, [abs, n as f64]));
+            }
+        }
+    }
+
+    /// Reduce and act on the stashed sums. Returns `true` when a stop
+    /// criterion fired. The convergence delta is evaluated before the
+    /// MAE target; when the delta converges, a stashed MAE check is
+    /// dropped un-reduced. `u` and `prev` are the iterate and its
+    /// predecessor the sums were taken from (read by watch mode).
+    fn complete(
+        &mut self,
+        comm: &mut Communicator,
+        u: &Tensor,
+        prev: &Tensor,
+        stale_halos: usize,
+    ) -> bool {
+        if let Some((at_iter, mut nums)) = self.conv.take() {
+            comm.allreduce_sum(&mut nums);
+            let delta = (nums[0] / nums[1].max(f64::MIN_POSITIVE)).sqrt();
+            self.h_residual.record(delta);
+            self.deltas.push(delta);
+            let stalled = self.stall.observe(delta);
+            let stale_in_window = (stale_halos - self.stale_at_window) as u64;
+            if stalled {
+                self.stalls.incr();
+                self.stall_stale.add(stale_in_window);
+                mf_observe::record(RecKind::Health, "mfp.stall", stale_in_window, delta);
+            }
+            if mf_observe::watch_enabled() {
                 // Watch is opt-in, so the extra allgather never runs
                 // under the pinned-message-count regression fixtures.
-                let stale_in_window = (stale_halos - *stale_at_window) as u64;
                 watch_residual_report(
                     comm,
-                    part.domain,
-                    owned,
+                    self.domain,
+                    self.owned,
                     u,
                     prev,
-                    deltas,
+                    &self.deltas,
                     at_iter,
                     stalled,
                     stale_in_window,
                 );
             }
-        }
-        if stalled {
-            *stale_at_window = stale_halos;
-        }
-        if delta < cfg.tol {
-            return true;
-        }
-    }
-    if let Some((at_iter, mut buf)) = pending_mae.take() {
-        comm.allreduce_sum(&mut buf);
-        let mae = buf[0] / buf[1].max(1.0);
-        mae_history.push((at_iter, mae));
-        if let Some(t) = &cfg.target {
-            if mae <= t.mae {
+            if stalled {
+                self.stale_at_window = stale_halos;
+            }
+            if delta < self.cfg.tol {
                 return true;
             }
         }
+        if let Some((at_iter, mut buf)) = self.mae.take() {
+            comm.allreduce_sum(&mut buf);
+            let mae = buf[0] / buf[1].max(1.0);
+            self.mae_history.push((at_iter, mae));
+            if let Some(t) = &self.cfg.target {
+                if mae <= t.mae {
+                    return true;
+                }
+            }
+        }
+        false
     }
-    false
 }
 
-/// Complete an in-flight halo exchange: block on each receive handle
-/// (deadline-bounded in degraded mode) and unpack into `u`. Handle
-/// order matches `halo_regions` (both follow the neighbor list).
-#[allow(clippy::too_many_arguments)]
-fn complete_halo_exchange(
-    comm: &mut Communicator,
-    part: &Partition<'_>,
-    u: &mut Tensor,
-    inflight: &mut Vec<RecvHandle>,
-    halo_regions: &[Region],
-    degraded: bool,
-    timeout: Duration,
-    stale_halos: &mut usize,
-    stale_counter: &Counter,
-) {
-    mf_profile::zone!("halo_wait");
-    for (h, region) in inflight.drain(..).zip(halo_regions) {
-        if degraded {
-            match comm.wait_deadline(&h, timeout) {
-                Ok(data) => part.unpack(u, region, &data),
-                Err(CommError::Timeout { .. }) => {
-                    *stale_halos += 1;
-                    stale_counter.incr();
-                }
-                Err(e @ CommError::RankFailed { .. }) => panic!("halo exchange: {e}"),
-            }
-        } else {
-            let data = comm.wait(&h);
-            part.unpack(u, region, &data);
+/// A rank's halo exchange: the bands it sends, the neighbor-owned bands
+/// its unpack writes (both fixed for the whole run, in neighbor order),
+/// pooled pack buffers, and the receives in flight.
+struct Halo<'p> {
+    part: &'p Partition<'p>,
+    send_bands: Vec<Region>,
+    regions: Vec<Region>,
+    outgoing: Vec<(usize, Vec<f64>)>,
+    inflight: Vec<RecvHandle>,
+    deadline: Option<Duration>,
+    wait_is_busy: bool,
+    /// Halo slots served from stale data (degraded mode).
+    stale: usize,
+    /// CPU seconds packing and unpacking ("Boundaries IO" in Fig. 9),
+    /// plus the overlapped schedule's waits.
+    seconds: f64,
+    stale_counter: Counter,
+    pool_miss: Counter,
+    h_bytes: Histogram,
+}
+
+impl<'p> Halo<'p> {
+    fn new(part: &'p Partition<'p>, rank: usize, cfg: &DistMfpConfig) -> Self {
+        let neighbors = part.grid.neighbors(rank);
+        Self {
+            part,
+            send_bands: neighbors
+                .iter()
+                .map(|&(dir, _)| part.band(rank, dir))
+                .collect(),
+            regions: neighbors
+                .iter()
+                .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
+                .collect(),
+            // Pooled per-direction pack buffers: sized by the first
+            // exchange, then reused — warm iterations pack at 0 heap
+            // allocations (`overlap.warm_allocs` counts the misses).
+            outgoing: neighbors
+                .iter()
+                .map(|&(_, nbr)| (nbr, Vec::new()))
+                .collect(),
+            inflight: Vec::new(),
+            deadline: cfg.degraded_halos.then_some(cfg.halo_timeout),
+            wait_is_busy: cfg.overlap,
+            stale: 0,
+            seconds: 0.0,
+            stale_counter: counter("mfp.stale_halos"),
+            pool_miss: counter("overlap.warm_allocs"),
+            h_bytes: histogram("mfp.halo_bytes", Buckets::bytes()),
         }
+    }
+
+    /// Pack the send bands and post the exchange without blocking. The
+    /// per-iteration `tag` keeps late round-N data out of round N+1.
+    fn start(&mut self, comm: &mut Communicator, u: &Tensor, tag: u64) {
+        let t = thread_cpu_time();
+        {
+            mf_profile::zone!("halo_pack");
+            for ((_, buf), band) in self.outgoing.iter_mut().zip(&self.send_bands) {
+                let cap = buf.capacity();
+                self.part.pack_into(u, band, buf);
+                if buf.capacity() != cap {
+                    self.pool_miss.incr();
+                }
+            }
+        }
+        self.seconds += thread_cpu_time() - t;
+        let bytes = self
+            .outgoing
+            .iter()
+            .map(|(_, p)| p.len() * 8)
+            .sum::<usize>();
+        self.h_bytes.record(bytes as f64);
+        self.inflight = comm.exchange_start(&self.outgoing, tag);
+    }
+
+    /// Complete the in-flight exchange, if any: block on each receive
+    /// and unpack it into `u`. In degraded mode each neighbor's receive
+    /// gets its own deadline; a neighbor that misses it leaves its slot
+    /// stale and the iteration proceeds instead of blocking.
+    fn complete(&mut self, comm: &mut Communicator, u: &mut Tensor) {
+        if self.inflight.is_empty() {
+            return;
+        }
+        let t = thread_cpu_time();
+        let mut waited = 0.0;
+        {
+            mf_profile::zone!("halo_wait");
+            for (h, region) in self.inflight.drain(..).zip(&self.regions) {
+                let w = thread_cpu_time();
+                let received = match self.deadline {
+                    None => Some(comm.wait(&h)),
+                    Some(timeout) => match comm.wait_deadline(&h, timeout) {
+                        Ok(data) => Some(data),
+                        Err(CommError::Timeout { .. }) => {
+                            self.stale += 1;
+                            self.stale_counter.incr();
+                            None
+                        }
+                        Err(e @ CommError::RankFailed { .. }) => panic!("halo exchange: {e}"),
+                    },
+                };
+                waited += thread_cpu_time() - w;
+                if let Some(data) = received {
+                    self.part.unpack(u, region, &data);
+                }
+            }
+        }
+        // The overlapped schedule's wait sits inside the iteration's
+        // busy window and counts as busy; the alternating schedule counts
+        // only its unpacks. This is the accounting the overlap gates
+        // (`overlap.modeled_ratio_gain_*`) were baselined with.
+        let spent = thread_cpu_time() - t;
+        self.seconds += if self.wait_is_busy {
+            spent
+        } else {
+            spent - waited
+        };
     }
 }
 
 /// Run the distributed MF predictor on `ranks` simulated devices.
 ///
-/// `bc` is the global boundary walk. The solver is shared by all ranks
-/// (read-only), mirroring each GPU holding a replica of the pre-trained
-/// SDNet.
+/// `bc` is the global boundary walk and `cfg.shift` the operator. The
+/// solver is shared by all ranks (read-only), mirroring each GPU holding
+/// a replica of the pre-trained SDNet.
 pub fn run_distributed<S: SubdomainSolver>(
     solver: &S,
     domain: &DomainSpec,
@@ -587,7 +668,8 @@ pub fn run_distributed<S: SubdomainSolver>(
     ranks: usize,
     cfg: &DistMfpConfig,
 ) -> DistMfpResult {
-    run_distributed_shifted(solver, domain, bc, 0.0, None, ranks, cfg)
+    try_run_distributed(solver, domain, bc, ranks, cfg)
+        .unwrap_or_else(|e| panic!("cluster failed: {e}"))
 }
 
 /// [`run_distributed`] that surfaces rank failures (panics, injected
@@ -599,61 +681,22 @@ pub fn try_run_distributed<S: SubdomainSolver>(
     ranks: usize,
     cfg: &DistMfpConfig,
 ) -> Result<DistMfpResult, ClusterError> {
-    try_run_distributed_shifted(solver, domain, bc, 0.0, None, ranks, cfg)
-}
-
-/// [`run_distributed`] for the shifted operator `σu − Δu = f` (forcing on
-/// the full global grid) — the distributed form of the time-dependent
-/// extension. Every rank reads the shared forcing field; only the
-/// lattice values are communicated, exactly as in the Laplace case.
-pub fn run_distributed_shifted<S: SubdomainSolver>(
-    solver: &S,
-    domain: &DomainSpec,
-    bc: &Tensor,
-    sigma: f64,
-    forcing: Option<&Tensor>,
-    ranks: usize,
-    cfg: &DistMfpConfig,
-) -> DistMfpResult {
-    try_run_distributed_shifted(solver, domain, bc, sigma, forcing, ranks, cfg)
-        .unwrap_or_else(|e| panic!("cluster failed: {e}"))
-}
-
-/// [`run_distributed_shifted`] with typed failure reporting.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_distributed_shifted<S: SubdomainSolver>(
-    solver: &S,
-    domain: &DomainSpec,
-    bc: &Tensor,
-    sigma: f64,
-    forcing: Option<&Tensor>,
-    ranks: usize,
-    cfg: &DistMfpConfig,
-) -> Result<DistMfpResult, ClusterError> {
-    if let Some(f) = forcing {
-        assert_eq!(
-            f.shape(),
-            (domain.ny(), domain.nx()),
-            "run_distributed_shifted: forcing shape mismatch"
-        );
-    }
-    assert_eq!(
-        solver.spec(),
-        domain.sub,
-        "run_distributed: solver and domain geometry differ"
-    );
+    assert_positive_periods(&[
+        ("DistMfpConfig::check_every", cfg.check_every),
+        ("DistMfpConfig::comm_every", cfg.comm_every),
+        (
+            "MaeTarget::every",
+            cfg.target.as_ref().map_or(1, |t| t.every),
+        ),
+    ]);
     assert_eq!(
         bc.numel(),
         domain.boundary_len(),
         "run_distributed: bad boundary length"
     );
-    let part = Partition::new(domain, ranks, cfg.order);
-    let part = &part;
-
-    let cross = domain.center_cross_offsets();
-    let cross_pts = domain.offsets_to_points(&cross);
-    let interior = domain.interior_offsets();
-    let interior_pts = domain.offsets_to_points(&interior);
+    let mfp = &Mfp::new(solver, *domain).with_shift(cfg.shift.clone());
+    let part = &Partition::new(domain, ranks, cfg.order);
+    let (cross, interior) = (&Targets::cross(domain), &Targets::interior(domain));
     let s = domain.shift();
 
     let per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
@@ -664,27 +707,16 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
         comm.align_clocks();
         comm.set_flat_collectives(cfg.flat_collectives);
         let owned = part.owned(rank);
-        let neighbors = part.grid.neighbors(rank);
-        let stale_counter = counter("mfp.stale_halos");
-        let mut stale_halos = 0usize;
-
-        // Per-direction halo geometry, fixed for the whole run: the
-        // bands we send and the neighbor-owned bands the unpack writes.
-        let send_bands: Vec<Region> = neighbors
-            .iter()
-            .map(|&(dir, _)| part.band(rank, dir))
-            .collect();
-        let halo_regions: Vec<Region> = neighbors
-            .iter()
-            .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
-            .collect();
+        let mut halo = Halo::new(part, rank, cfg);
 
         // Local copy of the global grid; only owned ∪ halo is maintained.
+        // `prev` holds the previous iterate, refilled in place.
         let mut u = Tensor::zeros(domain.ny(), domain.nx());
         apply_boundary(&mut u, bc);
         if cfg.coarse_init {
             domain.coarse_initialize(&mut u);
         }
+        let mut prev = u.clone();
 
         // Owned overlapping subdomains, split into the four sweep groups.
         let mut groups: [Vec<Subdomain>; 4] = Default::default();
@@ -700,47 +732,23 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
         // geometric — computed once).
         let (interior_groups, boundary_groups): ([Vec<Subdomain>; 4], [Vec<Subdomain>; 4]) =
             if cfg.overlap {
-                split_sweep_groups(domain, &groups, &halo_regions)
+                split_sweep_groups(domain, &groups, &halo.regions)
             } else {
                 Default::default()
             };
         let interior_subdomains: usize = interior_groups.iter().map(|g| g.len()).sum();
+        // Local sweeps with immediate updates (within-rank semantics of
+        // the baseline are preserved).
+        let sweep = |u: &mut Tensor, groups: &[Vec<Subdomain>; 4]| {
+            for group in groups {
+                mfp.solve_into(std::slice::from_mut(u), group, cross, true);
+            }
+        };
 
-        // Pooled per-direction pack buffers: sized by the first
-        // exchange, then reused — warm iterations pack at 0 heap
-        // allocations (`overlap.warm_allocs` counts the misses).
-        let mut outgoing: Vec<(usize, Vec<f64>)> = neighbors
-            .iter()
-            .map(|&(_, nbr)| (nbr, Vec::new()))
-            .collect();
-        let pool_miss = counter("overlap.warm_allocs");
-
-        // One-deep pipelined stop checks: local sums stashed at the end
-        // of iteration k, reduced at the top of k+1 (or after the loop).
-        let mut pending_conv: Option<(usize, [f64; 2])> = None;
-        let mut pending_mae: Option<(usize, [f64; 2])> = None;
-        let mut watch_prev: Option<Tensor> = None;
-        // Receive handles of the exchange posted by the previous
-        // iteration, completed mid-iteration between the passes.
-        let mut inflight: Vec<RecvHandle> = Vec::new();
-
+        let mut checks = Checks::new(cfg, domain, &owned);
         let mut compute_seconds = 0.0;
-        let mut pack_seconds = 0.0;
-        let mut deltas = Vec::new();
-        let mut mae_history = Vec::new();
         let mut converged = false;
         let mut iterations = 0;
-
-        let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
-        let h_halo = histogram("mfp.halo_bytes", Buckets::bytes());
-
-        // Convergence watchdog: trips after 5 residual checks without a
-        // ≥ 1% improvement; in degraded mode the stale-halo delta over
-        // the same window attributes the stall to a late neighbor.
-        let mut stall = StallDetector::new(5);
-        let stalls_counter = counter("mfp.stalls");
-        let stall_stale_counter = counter("mfp.stall_stale_halos");
-        let mut stale_at_window = 0usize;
 
         // Comm/compute overlap accounting (§4.3): measured busy/wait
         // intervals folded through the alpha-beta model into the
@@ -750,33 +758,14 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
         let mut busy_mark = 0.0;
 
         for it in 0..cfg.max_iters {
-            // Complete the pipelined stop checks stashed by the
-            // previous iteration before sweeping this one: the
-            // allreduce for iteration k rides alongside iteration k+1,
-            // so a convergence break lands here — with the iteration
-            // count unchanged versus the alternating schedule, which
-            // would have broken at the end of iteration k.
-            if cfg.overlap
-                && (pending_conv.is_some() || pending_mae.is_some())
-                && complete_pending_checks(
-                    comm,
-                    cfg,
-                    part,
-                    &owned,
-                    &u,
-                    watch_prev.as_ref(),
-                    &mut pending_conv,
-                    &mut pending_mae,
-                    &mut deltas,
-                    &mut mae_history,
-                    &h_residual,
-                    &mut stall,
-                    &stalls_counter,
-                    &stall_stale_counter,
-                    stale_halos,
-                    &mut stale_at_window,
-                )
-            {
+            // Overlapped: complete the stop checks stashed by the
+            // previous iteration before sweeping this one. The allreduce
+            // for iteration k rides alongside iteration k+1, so a
+            // convergence break lands here — with the iteration count
+            // unchanged versus the alternating schedule, which breaks at
+            // the end of iteration k. `prev` still holds iteration k's
+            // predecessor.
+            if cfg.overlap && checks.complete(comm, &u, &prev, halo.stale) {
                 converged = true;
                 break;
             }
@@ -790,50 +779,26 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                 RecKind::Iteration,
                 "mfp.iteration",
                 owned_subdomains as u64,
-                deltas.last().copied().unwrap_or(f64::NAN),
+                checks.deltas.last().copied().unwrap_or(f64::NAN),
             );
-            let prev = u.clone();
+            prev.as_mut_slice().copy_from_slice(u.as_slice());
 
-            // Local sweeps with immediate updates (within-rank semantics
-            // of the baseline are preserved).
             let t0 = thread_cpu_time();
-            if !inflight.is_empty() {
+            if !halo.inflight.is_empty() {
                 // Overlapped: sweep the interior (whose stencils never
                 // touch a halo band) while last iteration's exchange is
                 // still in flight, then complete it and sweep the
                 // boundary.
                 {
                     mf_profile::zone!("sweep_interior");
-                    for group in &interior_groups {
-                        sweep_batch_shifted(
-                            solver, domain, &mut u, group, &cross, &cross_pts, sigma, forcing,
-                        );
-                    }
+                    sweep(&mut u, &interior_groups);
                 }
                 compute_seconds += thread_cpu_time() - t0;
-
-                let t1 = thread_cpu_time();
-                complete_halo_exchange(
-                    comm,
-                    part,
-                    &mut u,
-                    &mut inflight,
-                    &halo_regions,
-                    cfg.degraded_halos,
-                    cfg.halo_timeout,
-                    &mut stale_halos,
-                    &stale_counter,
-                );
-                pack_seconds += thread_cpu_time() - t1;
-
+                halo.complete(comm, &mut u);
                 let t2 = thread_cpu_time();
                 {
                     mf_profile::zone!("sweep_boundary");
-                    for group in &boundary_groups {
-                        sweep_batch_shifted(
-                            solver, domain, &mut u, group, &cross, &cross_pts, sigma, forcing,
-                        );
-                    }
+                    sweep(&mut u, &boundary_groups);
                 }
                 compute_seconds += thread_cpu_time() - t2;
             } else {
@@ -842,178 +807,51 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                 // everything in group order.
                 {
                     mf_profile::zone!("sweep");
-                    for group in &groups {
-                        sweep_batch_shifted(
-                            solver, domain, &mut u, group, &cross, &cross_pts, sigma, forcing,
-                        );
-                    }
+                    sweep(&mut u, &groups);
                 }
                 compute_seconds += thread_cpu_time() - t0;
             }
             iterations = it + 1;
 
             // Relaxed synchronization: one halo exchange per iteration
-            // (or every `comm_every` iterations). Overlapped mode only
-            // *posts* it here — the next iteration's interior pass runs
-            // while it is in flight.
-            if iterations % cfg.comm_every == 0 {
-                let t1 = thread_cpu_time();
-                {
-                    mf_profile::zone!("halo_pack");
-                    for ((_, buf), band) in outgoing.iter_mut().zip(&send_bands) {
-                        let cap = buf.capacity();
-                        part.pack_into(&u, band, buf);
-                        if buf.capacity() != cap {
-                            pool_miss.incr();
-                        }
-                    }
-                }
-                pack_seconds += thread_cpu_time() - t1;
-                h_halo.record(outgoing.iter().map(|(_, p)| p.len() * 8).sum::<usize>() as f64);
-                if cfg.overlap {
-                    inflight = comm.exchange_start(&outgoing, it as u64);
-                } else if cfg.degraded_halos {
-                    // Deadline-bounded exchange: a slot whose neighbor
-                    // missed the deadline keeps its previous (stale)
-                    // values — the iteration proceeds instead of
-                    // blocking. The per-iteration tag keeps late round-N
-                    // data out of round N+1.
-                    let incoming = comm.exchange_deadline(&outgoing, it as u64, cfg.halo_timeout);
-                    let t2 = thread_cpu_time();
-                    for (region, (peer, result)) in halo_regions.iter().zip(incoming) {
-                        debug_assert!(neighbors.iter().any(|&(_, nbr)| nbr == peer));
-                        match result {
-                            Ok(data) => part.unpack(&mut u, region, &data),
-                            Err(CommError::Timeout { .. }) => {
-                                stale_halos += 1;
-                                stale_counter.incr();
-                            }
-                            Err(e @ CommError::RankFailed { .. }) => {
-                                panic!("halo exchange: {e}");
-                            }
-                        }
-                    }
-                    pack_seconds += thread_cpu_time() - t2;
-                } else {
-                    let incoming = comm.exchange(&outgoing, it as u64);
-                    let t2 = thread_cpu_time();
-                    for (region, (peer, data)) in halo_regions.iter().zip(incoming) {
-                        debug_assert!(neighbors.iter().any(|&(_, nbr)| nbr == peer));
-                        // The neighbor sent its own band facing us.
-                        part.unpack(&mut u, region, &data);
-                    }
-                    pack_seconds += thread_cpu_time() - t2;
+            // (or every `comm_every` iterations). The overlapped schedule
+            // only posts it here — the next iteration's interior pass
+            // runs while it is in flight; the alternating one completes
+            // it at once.
+            if iterations.is_multiple_of(cfg.comm_every) {
+                halo.start(comm, &u, it as u64);
+                if !cfg.overlap {
+                    halo.complete(comm, &mut u);
                 }
             }
 
-            // Global convergence check (Algorithm 2, line 5): stash the
-            // local sums; the alternating path reduces them on the
-            // spot, the overlapped path at the top of the next
-            // iteration. The sums read only owned lattice cells, which
-            // no halo unpack ever writes, so stashing before the
-            // in-flight exchange completes loses nothing.
-            if cfg.tol > 0.0 && iterations % cfg.check_every == 0 {
-                pending_conv = Some((
-                    iterations,
-                    [
-                        part.owned_lattice_diff_sumsq(&u, &prev, &owned),
-                        part.owned_lattice_sumsq(&prev, &owned),
-                    ],
-                ));
-            }
-            if let Some(t) = &cfg.target {
-                if iterations % t.every == 0 {
-                    let (local_abs, local_n) =
-                        part.owned_lattice_absdiff_count(&u, &t.reference, &owned);
-                    pending_mae = Some((iterations, [local_abs, local_n as f64]));
-                }
-            }
-            if cfg.overlap {
-                // Keep `prev` alive for the completion-time watch
-                // report only when someone will look at it.
-                watch_prev =
-                    (mf_observe::watch_enabled() && pending_conv.is_some()).then(|| prev.clone());
-            } else if (pending_conv.is_some() || pending_mae.is_some())
-                && complete_pending_checks(
-                    comm,
-                    cfg,
-                    part,
-                    &owned,
-                    &u,
-                    Some(&prev),
-                    &mut pending_conv,
-                    &mut pending_mae,
-                    &mut deltas,
-                    &mut mae_history,
-                    &h_residual,
-                    &mut stall,
-                    &stalls_counter,
-                    &stall_stale_counter,
-                    stale_halos,
-                    &mut stale_at_window,
-                )
-            {
+            checks.stash(iterations, &u, &prev);
+            if !cfg.overlap && checks.complete(comm, &u, &prev, halo.stale) {
                 converged = true;
                 break;
             }
 
             // Close this iteration's busy/wait interval and make the
             // rank's metrics visible to live scrapes.
-            let busy = compute_seconds + pack_seconds;
+            let busy = compute_seconds + halo.seconds;
             overlap.observe_iteration(comm, busy - busy_mark);
             busy_mark = busy;
             mf_telemetry::publish_thread();
         }
 
-        // Flush the pipeline: stop checks stashed by the final
-        // iteration (the alternating schedule would have reduced them
-        // inside that iteration) and the exchange it left in flight —
-        // the final dense pass below reads halo cells, so the iterates
-        // must be fully caught up before it runs.
+        // Flush the pipeline: stop checks stashed by the final iteration
+        // (the alternating schedule would have reduced them inside that
+        // iteration) and the exchange it left in flight — the final
+        // dense pass below reads halo cells, so the iterates must be
+        // fully caught up before it runs.
         if cfg.overlap {
-            if !converged
-                && (pending_conv.is_some() || pending_mae.is_some())
-                && complete_pending_checks(
-                    comm,
-                    cfg,
-                    part,
-                    &owned,
-                    &u,
-                    watch_prev.as_ref(),
-                    &mut pending_conv,
-                    &mut pending_mae,
-                    &mut deltas,
-                    &mut mae_history,
-                    &h_residual,
-                    &mut stall,
-                    &stalls_counter,
-                    &stall_stale_counter,
-                    stale_halos,
-                    &mut stale_at_window,
-                )
-            {
-                converged = true;
-            }
-            if !inflight.is_empty() {
-                let t = thread_cpu_time();
-                complete_halo_exchange(
-                    comm,
-                    part,
-                    &mut u,
-                    &mut inflight,
-                    &halo_regions,
-                    cfg.degraded_halos,
-                    cfg.halo_timeout,
-                    &mut stale_halos,
-                    &stale_counter,
-                );
-                pack_seconds += thread_cpu_time() - t;
-            }
+            converged = converged || checks.complete(comm, &u, &prev, halo.stale);
+            halo.complete(comm, &mut u);
         }
 
         // A convergence break skips the in-loop accounting; flush the
         // final iteration's interval so its comm wait is not dropped.
-        let busy = compute_seconds + pack_seconds;
+        let busy = compute_seconds + halo.seconds;
         if busy > busy_mark {
             overlap.observe_iteration(comm, busy - busy_mark);
             mf_telemetry::publish_thread();
@@ -1021,46 +859,22 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
 
         let halo_stats = comm.stats();
 
-        // Final phase: dense prediction of owned atomic subdomains.
+        // Final phase: dense prediction of owned atomic subdomains. An
+        // atomic subdomain belongs to the rank owning its lower-left
+        // corner (blocks align with rank boundaries).
         let t0 = thread_cpu_time();
         let atoms: Vec<Subdomain> = domain
             .atomic_subdomains()
             .into_iter()
-            .filter(|sd| {
-                // An atomic subdomain belongs to the rank owning its
-                // lower-left corner (blocks align with rank boundaries).
-                owned.0.contains(&sd.oy) && owned.1.contains(&sd.ox)
-            })
+            .filter(|sd| owned.0.contains(&sd.oy) && owned.1.contains(&sd.ox))
             .collect();
-        if !atoms.is_empty() {
-            let boundaries = Tensor::vstack(
-                &atoms
-                    .iter()
-                    .map(|&sd| domain.read_window_boundary(&u, sd))
-                    .collect::<Vec<_>>(),
-            );
-            let fw = forcing.map(|f| {
-                Tensor::vstack(
-                    &atoms
-                        .iter()
-                        .map(|&sd| domain.read_window_field(f, sd))
-                        .collect::<Vec<_>>(),
-                )
-            });
-            let preds = solver.solve_batch_shifted(sigma, &boundaries, fw.as_ref(), &interior_pts);
-            let q = interior.len();
-            for (bi, &sd) in atoms.iter().enumerate() {
-                for (k, &(j, i)) in interior.iter().enumerate() {
-                    u.set(sd.oy + j, sd.ox + i, preds.get(bi * q + k, 0));
-                }
-            }
-        }
+        mfp.solve_into(std::slice::from_mut(&mut u), &atoms, interior, true);
         compute_seconds += thread_cpu_time() - t0;
 
         // Allgather the owned dense blocks and assemble the global grid.
         let t1 = thread_cpu_time();
         let local = part.pack_dense(&u, &owned);
-        pack_seconds += thread_cpu_time() - t1;
+        let mut pack_seconds = halo.seconds + thread_cpu_time() - t1;
         let gathered = comm.allgather(&local);
         let t2 = thread_cpu_time();
         let mut global = Tensor::zeros(domain.ny(), domain.nx());
@@ -1079,12 +893,17 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
             halo: halo_stats,
             owned_subdomains,
             interior_subdomains,
-            stale_halos,
+            stale_halos: halo.stale,
             overlap: overlap.final_sample(),
         };
         if mf_telemetry::metrics_report_enabled() {
             mf_dist::print_merged_report(comm);
         }
+        let Checks {
+            deltas,
+            mae_history,
+            ..
+        } = checks;
         (global, iterations, converged, deltas, mae_history, report)
     })?;
 
@@ -1104,7 +923,7 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::{Mfp, MfpConfig};
+    use crate::seq::MfpConfig;
     use crate::solver::OracleSolver;
     use mf_data::SubdomainSpec;
     use mf_numerics::boundary::boundary_coords;
@@ -1348,10 +1167,12 @@ mod tests {
             ((j as f64) * 0.3).sin() * ((i as f64) * 0.2).cos()
         });
         let bc = Tensor::zeros(1, d.boundary_len());
-        let seq = Mfp::new(&oracle, d).run_shifted(
-            &bc,
+        let shift = Shift {
             sigma,
-            Some(&forcing),
+            forcing: Some(forcing),
+        };
+        let seq = Mfp::new(&oracle, d).with_shift(shift.clone()).run(
+            &bc,
             &MfpConfig {
                 max_iters: 300,
                 tol: 1e-9,
@@ -1359,16 +1180,15 @@ mod tests {
             },
         );
         assert!(seq.converged);
-        let dist = crate::dist::run_distributed_shifted(
+        let dist = run_distributed(
             &oracle,
             &d,
             &bc,
-            sigma,
-            Some(&forcing),
             4,
             &DistMfpConfig {
                 max_iters: 300,
                 tol: 1e-9,
+                shift,
                 ..Default::default()
             },
         );
@@ -1655,6 +1475,29 @@ mod tests {
         assert_eq!(clean.iterations, delayed.iterations);
         assert_eq!(clean.deltas, delayed.deltas);
         assert_eq!(clean.grid.as_slice(), delayed.grid.as_slice());
+    }
+
+    fn run_with_periods(check_every: usize, comm_every: usize) {
+        let d = DomainSpec::new(spec(), 2, 2);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let cfg = DistMfpConfig {
+            check_every,
+            comm_every,
+            ..Default::default()
+        };
+        let _ = try_run_distributed(&oracle, &d, &harmonic_bc(&d), 4, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "DistMfpConfig::check_every must be positive")]
+    fn zero_check_period_is_rejected_before_ranks_start() {
+        run_with_periods(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "DistMfpConfig::comm_every must be positive")]
+    fn zero_comm_period_is_rejected_before_ranks_start() {
+        run_with_periods(1, 0);
     }
 
     #[test]

@@ -3,6 +3,10 @@
 use mf_data::SubdomainSpec;
 use mf_numerics::boundary::boundary_coords;
 use mf_tensor::Tensor;
+use std::ops::Range;
+
+/// A half-open `(rows, cols)` block of global grid points.
+pub type Region = (Range<usize>, Range<usize>);
 
 /// A large solve domain tiled by `sx × sy` atomic subdomains.
 ///
@@ -189,33 +193,49 @@ impl DomainSpec {
         Tensor::from_vec(offsets.len(), 2, data)
     }
 
-    /// Sum of squares of the lattice values of a grid (used by the
-    /// relative-change convergence test of Algorithm 2).
-    pub fn lattice_sumsq(&self, grid: &Tensor) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..self.ny() {
-            for i in 0..self.nx() {
-                if self.on_lattice(j, i) {
-                    let v = grid.get(j, i);
-                    acc += v * v;
-                }
-            }
-        }
-        acc
+    /// The whole global grid as a region.
+    pub fn whole(&self) -> Region {
+        (0..self.ny(), 0..self.nx())
     }
 
-    /// Sum of squared differences of lattice values between two grids.
-    pub fn lattice_diff_sumsq(&self, a: &Tensor, b: &Tensor) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..self.ny() {
-            for i in 0..self.nx() {
-                if self.on_lattice(j, i) {
-                    let d = a.get(j, i) - b.get(j, i);
-                    acc += d * d;
-                }
-            }
-        }
-        acc
+    /// Lattice points of a region, row-major.
+    pub(crate) fn lattice_points<'r>(
+        &'r self,
+        region: &'r Region,
+    ) -> impl Iterator<Item = (usize, usize)> + 'r {
+        region
+            .0
+            .clone()
+            .flat_map(move |j| region.1.clone().map(move |i| (j, i)))
+            .filter(move |&(j, i)| self.on_lattice(j, i))
+    }
+
+    /// Sum of squares of the lattice values of a grid over a region (used
+    /// by the relative-change convergence test of Algorithm 2; a rank
+    /// sums over the region it owns).
+    pub fn lattice_sumsq(&self, grid: &Tensor, region: &Region) -> f64 {
+        self.lattice_points(region).fold(0.0, |acc, (j, i)| {
+            let v = grid.get(j, i);
+            acc + v * v
+        })
+    }
+
+    /// Sum of squared differences of lattice values between two grids
+    /// over a region.
+    pub fn lattice_diff_sumsq(&self, a: &Tensor, b: &Tensor, region: &Region) -> f64 {
+        self.lattice_points(region).fold(0.0, |acc, (j, i)| {
+            let d = a.get(j, i) - b.get(j, i);
+            acc + d * d
+        })
+    }
+
+    /// Sum of absolute lattice differences between two grids over a
+    /// region, and the number of lattice points summed.
+    pub(crate) fn lattice_absdiff(&self, a: &Tensor, b: &Tensor, region: &Region) -> (f64, usize) {
+        self.lattice_points(region)
+            .fold((0.0, 0), |(acc, n), (j, i)| {
+                (acc + (a.get(j, i) - b.get(j, i)).abs(), n + 1)
+            })
     }
 
     /// Initialize the lattice from a **coarse global solve** — the
@@ -275,16 +295,7 @@ impl DomainSpec {
     /// Mean absolute error between two grids over lattice points only —
     /// the cheap convergence metric used while iterating.
     pub fn lattice_mae(&self, a: &Tensor, b: &Tensor) -> f64 {
-        let mut acc = 0.0;
-        let mut n = 0usize;
-        for j in 0..self.ny() {
-            for i in 0..self.nx() {
-                if self.on_lattice(j, i) {
-                    acc += (a.get(j, i) - b.get(j, i)).abs();
-                    n += 1;
-                }
-            }
-        }
+        let (acc, n) = self.lattice_absdiff(a, b, &self.whole());
         acc / n.max(1) as f64
     }
 }
@@ -432,8 +443,28 @@ mod tests {
                 }
             }
         }
-        assert!((d.lattice_sumsq(&a) - sumsq).abs() < 1e-12);
-        assert!((d.lattice_diff_sumsq(&a, &b) - sumsq).abs() < 1e-12);
+        assert!((d.lattice_sumsq(&a, &d.whole()) - sumsq).abs() < 1e-12);
+        assert!((d.lattice_diff_sumsq(&a, &b, &d.whole()) - sumsq).abs() < 1e-12);
         assert!((d.lattice_mae(&a, &b) - mae / n as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn region_lattice_sums_partition_the_whole() {
+        // A rank sums over its owned block; blocks tiling the grid must
+        // add up to the whole-grid sums and point count.
+        let d = spec();
+        let a = Tensor::from_fn(d.ny(), d.nx(), |j, i| (j * 7 + i) as f64 * 0.1);
+        let b = Tensor::from_fn(d.ny(), d.nx(), |j, i| (j + 3 * i) as f64 * 0.2);
+        let blocks: [Region; 2] = [(0..9, 0..d.nx()), (9..d.ny(), 0..d.nx())];
+        let parts = |f: &dyn Fn(&Region) -> f64| blocks.iter().map(f).sum::<f64>();
+        let whole = d.whole();
+        assert!((parts(&|r| d.lattice_sumsq(&a, r)) - d.lattice_sumsq(&a, &whole)).abs() < 1e-9);
+        assert!(
+            (parts(&|r| d.lattice_diff_sumsq(&a, &b, r)) - d.lattice_diff_sumsq(&a, &b, &whole))
+                .abs()
+                < 1e-9
+        );
+        let counts: usize = blocks.iter().map(|r| d.lattice_absdiff(&a, &b, r).1).sum();
+        assert_eq!(counts, d.lattice_absdiff(&a, &b, &whole).1);
     }
 }

@@ -1,5 +1,7 @@
-//! Single-process Mosaic Flow predictor: the baseline (unbatched) and the
-//! device-parallel batched variant (§4.1).
+//! The Schwarz iteration engine: one request-batched loop for the
+//! single-process predictor — baseline (unbatched) or device-parallel
+//! batched (§4.1) — and the subdomain-launch kernel it shares with the
+//! distributed rank loop.
 
 use crate::domain::{DomainSpec, Subdomain};
 use crate::solver::SubdomainSolver;
@@ -16,7 +18,7 @@ pub struct MaeTarget {
     pub reference: Tensor,
     /// Stop once the lattice MAE against the reference drops below this.
     pub mae: f64,
-    /// Check every this many iterations.
+    /// Check every this many iterations (must be positive).
     pub every: usize,
 }
 
@@ -67,68 +69,86 @@ pub struct MfpResult {
     pub mae_history: Vec<(usize, f64)>,
 }
 
-/// Sweep one batch of same-group subdomains with immediate updates:
-/// stack the window boundaries (and forcing windows) into a single
-/// batched inference and write the center crosses back.
-///
-/// Shared by the sequential sweep and the distributed
-/// interior/boundary passes. The distributed overlapped schedule calls
-/// this on arbitrary *subsets* of a group, which is exact because
-/// same-group subdomains never read one another's cross writes (their
-/// windows share at most the one-cell seam line, which crosses never
-/// touch), so splitting a group's batch cannot change any value.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_batch_shifted<S: SubdomainSolver>(
-    solver: &S,
-    domain: &DomainSpec,
-    grid: &mut Tensor,
-    subs: &[Subdomain],
-    cross: &[(usize, usize)],
-    cross_pts: &Tensor,
-    sigma: f64,
-    forcing: Option<&Tensor>,
-) {
-    if subs.is_empty() {
-        return;
+/// The operator of the problem: `σu − Δu = f`, with `f` given on the
+/// full global grid. The default (`σ = 0`, no forcing) is the Laplace
+/// equation; `σ = 1/(α·Δt)` with `f = σ·uⁿ` is one implicit-Euler step of
+/// the heat equation — the time-dependent extension hypothesized in §5.3
+/// of the paper. A shifted problem needs a subdomain solver that
+/// implements [`SubdomainSolver::solve_batch_shifted`] (the oracle does).
+#[derive(Clone, Debug, Default)]
+pub struct Shift {
+    /// Diagonal shift `σ`.
+    pub sigma: f64,
+    /// Forcing `f` on the global grid (`None` is zero forcing).
+    pub forcing: Option<Tensor>,
+}
+
+/// The points one subdomain launch predicts: local offsets and their
+/// physical coordinates (the solver's query points).
+pub(crate) struct Targets {
+    offsets: Vec<(usize, usize)>,
+    pts: Tensor,
+}
+
+impl Targets {
+    fn new(domain: &DomainSpec, offsets: Vec<(usize, usize)>) -> Self {
+        let pts = domain.offsets_to_points(&offsets);
+        Self { offsets, pts }
     }
-    let boundaries = Tensor::vstack(
-        &subs
-            .iter()
-            .map(|&sd| domain.read_window_boundary(grid, sd))
-            .collect::<Vec<_>>(),
-    );
-    let fw = forcing.map(|f| {
-        Tensor::vstack(
-            &subs
-                .iter()
-                .map(|&sd| domain.read_window_field(f, sd))
-                .collect::<Vec<_>>(),
-        )
-    });
-    let preds = solver.solve_batch_shifted(sigma, &boundaries, fw.as_ref(), cross_pts);
-    let q = cross.len();
-    for (bi, &sd) in subs.iter().enumerate() {
-        for (k, &(j, i)) in cross.iter().enumerate() {
-            grid.set(sd.oy + j, sd.ox + i, preds.get(bi * q + k, 0));
-        }
+
+    /// The center cross every sweep writes.
+    pub(crate) fn cross(domain: &DomainSpec) -> Self {
+        Self::new(domain, domain.center_cross_offsets())
+    }
+
+    /// The full interior the final dense fill writes.
+    pub(crate) fn interior(domain: &DomainSpec) -> Self {
+        Self::new(domain, domain.interior_offsets())
     }
 }
 
-/// The Mosaic Flow predictor bound to a solver and a domain.
+/// Reject zero iteration periods before any work starts: a period of 0
+/// would divide by zero (or silently disable its check).
+pub(crate) fn assert_positive_periods(periods: &[(&str, usize)]) {
+    for &(name, period) in periods {
+        assert!(period > 0, "{name} must be positive");
+    }
+}
+
+/// The Mosaic Flow predictor bound to a solver, a domain and an operator.
 pub struct Mfp<'a, S: SubdomainSolver> {
     solver: &'a S,
     domain: DomainSpec,
+    shift: Shift,
 }
 
 impl<'a, S: SubdomainSolver> Mfp<'a, S> {
-    /// Bind a solver to a domain (geometries must match).
+    /// Bind a solver to a domain (geometries must match), for the
+    /// Laplace equation.
     pub fn new(solver: &'a S, domain: DomainSpec) -> Self {
         assert_eq!(
             solver.spec(),
             domain.sub,
             "Mfp: solver and domain subdomain geometry differ"
         );
-        Self { solver, domain }
+        Self {
+            solver,
+            domain,
+            shift: Shift::default(),
+        }
+    }
+
+    /// Solve the shifted operator `σu − Δu = f` instead (see [`Shift`]).
+    pub fn with_shift(mut self, shift: Shift) -> Self {
+        if let Some(f) = &shift.forcing {
+            assert_eq!(
+                f.shape(),
+                (self.domain.ny(), self.domain.nx()),
+                "Mfp::with_shift: forcing shape mismatch"
+            );
+        }
+        self.shift = shift;
+        self
     }
 
     /// The bound domain.
@@ -137,120 +157,24 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     }
 
     /// Solve the BVP given the global boundary walk `bc`
-    /// (`1×boundary_len`).
+    /// (`1×boundary_len`): a batch of one through [`Mfp::run_many`].
     pub fn run(&self, bc: &Tensor, cfg: &MfpConfig) -> MfpResult {
-        self.run_shifted(bc, 0.0, None, cfg)
-    }
-
-    /// Solve the shifted problem `σu − Δu = f` with `f` given on the full
-    /// global grid. With `σ = 1/(α·Δt)` and `f = σ·uⁿ` this is one
-    /// implicit-Euler step of the heat equation — the time-dependent
-    /// extension hypothesized in §5.3 of the paper. Requires a subdomain
-    /// solver that implements
-    /// [`SubdomainSolver::solve_batch_shifted`] (the oracle does).
-    pub fn run_shifted(
-        &self,
-        bc: &Tensor,
-        sigma: f64,
-        forcing: Option<&Tensor>,
-        cfg: &MfpConfig,
-    ) -> MfpResult {
-        let d = &self.domain;
-        if let Some(f) = forcing {
-            assert_eq!(
-                f.shape(),
-                (d.ny(), d.nx()),
-                "run_shifted: forcing shape mismatch"
-            );
-        }
-        assert_eq!(
-            bc.numel(),
-            d.boundary_len(),
-            "Mfp::run: global boundary has wrong length"
-        );
-        let mut grid = Tensor::zeros(d.ny(), d.nx());
-        apply_boundary(&mut grid, bc);
-        if cfg.coarse_init {
-            d.coarse_initialize(&mut grid);
-        }
-
-        let groups = self.sweep_groups();
-        let cross = d.center_cross_offsets();
-        let cross_pts = d.offsets_to_points(&cross);
-
-        let mut deltas = Vec::new();
-        let mut mae_history = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-
-        let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
-
-        for it in 0..cfg.max_iters {
-            span!("mfp.iteration", it = it as f64);
-            let prev = grid.clone();
-            {
-                mf_profile::zone!("sweep");
-                for group in &groups {
-                    self.sweep_group(
-                        &mut grid,
-                        group,
-                        &cross,
-                        &cross_pts,
-                        cfg.batched,
-                        sigma,
-                        forcing,
-                    );
-                }
-            }
-            iterations = it + 1;
-            // Make this thread's metrics visible to live scrapes once
-            // per iteration (a warm publish does not allocate).
-            mf_telemetry::publish_thread();
-
-            let delta = {
-                let num = d.lattice_diff_sumsq(&grid, &prev);
-                let den = d.lattice_sumsq(&prev).max(f64::MIN_POSITIVE);
-                (num / den).sqrt()
-            };
-            h_residual.record(delta);
-            deltas.push(delta);
-            if cfg.tol > 0.0 && delta < cfg.tol {
-                converged = true;
-                break;
-            }
-            if let Some(t) = &cfg.target {
-                if iterations % t.every == 0 {
-                    let mae = d.lattice_mae(&grid, &t.reference);
-                    mae_history.push((iterations, mae));
-                    if mae <= t.mae {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        self.dense_fill_shifted(&mut grid, sigma, forcing);
-        MfpResult {
-            grid,
-            iterations,
-            converged,
-            deltas,
-            mae_history,
-        }
+        self.run_many(std::slice::from_ref(bc), cfg).remove(0)
     }
 
     /// Solve many BVPs on the *same* domain in one batched pass: each
     /// Schwarz sweep stacks every active request's group boundaries into
-    /// a single `solve_batch` launch, and the final dense fill packs all
+    /// a single launch (or, with `cfg.batched` off, one launch per
+    /// request and subdomain), and the final dense fill packs all
     /// requests into one launch per point set.
     ///
     /// Because every solver row is independent (the property
     /// `plan_and_graph_paths_agree_bitwise` proves for the compiled
-    /// plan), each request's grid, iteration count, and deltas are
-    /// **bitwise identical** to calling [`Mfp::run`] on that request
-    /// alone. Requests converge independently: a request that meets
-    /// `cfg.tol` drops out of subsequent sweeps while the rest continue.
+    /// plan), a batch of N is bitwise identical to N batches of one: each
+    /// request's grid, iteration count, and deltas match [`Mfp::run`] on
+    /// that request alone. Requests converge independently: a request
+    /// that meets a stop criterion drops out of subsequent sweeps while
+    /// the rest continue.
     ///
     /// This is the serving hot path: cross-request batching amortizes
     /// the per-launch fixed cost (plan-cache probe, workspace checkout,
@@ -258,151 +182,113 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// launches.
     pub fn run_many(&self, bcs: &[Tensor], cfg: &MfpConfig) -> Vec<MfpResult> {
         let d = &self.domain;
-        for bc in bcs {
-            assert_eq!(
-                bc.numel(),
-                d.boundary_len(),
-                "Mfp::run_many: global boundary has wrong length"
-            );
-        }
-        struct State {
-            grid: Tensor,
-            deltas: Vec<f64>,
-            mae_history: Vec<(usize, f64)>,
-            iterations: usize,
-            converged: bool,
-        }
-        let mut states: Vec<State> = bcs
+        assert_positive_periods(&[(
+            "MaeTarget::every",
+            cfg.target.as_ref().map_or(1, |t| t.every),
+        )]);
+        let mut grids: Vec<Tensor> = bcs
             .iter()
             .map(|bc| {
+                assert_eq!(
+                    bc.numel(),
+                    d.boundary_len(),
+                    "Mfp::run: global boundary has wrong length"
+                );
                 let mut grid = Tensor::zeros(d.ny(), d.nx());
                 apply_boundary(&mut grid, bc);
                 if cfg.coarse_init {
                     d.coarse_initialize(&mut grid);
                 }
-                State {
-                    grid,
-                    deltas: Vec::new(),
-                    mae_history: Vec::new(),
-                    iterations: 0,
-                    converged: false,
-                }
+                grid
             })
             .collect();
+        let mut prevs = grids.clone();
+        let mut results: Vec<MfpResult> = bcs
+            .iter()
+            .map(|_| MfpResult {
+                grid: Tensor::zeros(0, 0),
+                iterations: 0,
+                converged: false,
+                deltas: Vec::new(),
+                mae_history: Vec::new(),
+            })
+            .collect();
+        // `grids[..live]` are the requests still iterating, in request
+        // order; `ids` maps each slot to its request.
+        let mut ids: Vec<usize> = (0..bcs.len()).collect();
+        let mut live = bcs.len();
 
         let groups = self.sweep_groups();
-        let cross = d.center_cross_offsets();
-        let cross_pts = d.offsets_to_points(&cross);
-        let q = cross.len();
+        let cross = Targets::cross(d);
+        let whole = d.whole();
         let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
 
-        let mut active: Vec<usize> = (0..states.len()).collect();
         for it in 0..cfg.max_iters {
-            if active.is_empty() {
+            if live == 0 {
                 break;
             }
             span!("mfp.iteration", it = it as f64);
-            mf_reqtrace::note_iteration(it as u32, active.len() as u32);
-            let prev: Vec<Tensor> = active.iter().map(|&r| states[r].grid.clone()).collect();
+            mf_reqtrace::note_iteration(it as u32, live as u32);
+            for (prev, grid) in prevs.iter_mut().zip(&grids[..live]) {
+                prev.as_mut_slice().copy_from_slice(grid.as_slice());
+            }
             {
                 mf_profile::zone!("sweep");
                 for group in &groups {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    // One launch covers every active request's group:
-                    // request-major, subdomain-minor row order.
-                    let boundaries = Tensor::vstack(
-                        &active
-                            .iter()
-                            .flat_map(|&r| group.iter().map(move |&sd| (r, sd)))
-                            .map(|(r, sd)| d.read_window_boundary(&states[r].grid, sd))
-                            .collect::<Vec<_>>(),
-                    );
-                    let preds = self.solver.solve_batch(&boundaries, &cross_pts);
-                    for (ai, &r) in active.iter().enumerate() {
-                        for (bi, &sd) in group.iter().enumerate() {
-                            let base = (ai * group.len() + bi) * q;
-                            for (k, &(j, i)) in cross.iter().enumerate() {
-                                states[r]
-                                    .grid
-                                    .set(sd.oy + j, sd.ox + i, preds.get(base + k, 0));
-                            }
-                        }
-                    }
+                    self.solve_into(&mut grids[..live], group, &cross, cfg.batched);
                 }
             }
+            // Make this thread's metrics visible to live scrapes once
+            // per iteration (a warm publish does not allocate).
             mf_telemetry::publish_thread();
 
-            let mut still = Vec::with_capacity(active.len());
-            for (ai, &r) in active.iter().enumerate() {
-                let s = &mut states[r];
-                s.iterations = it + 1;
+            let mut k = 0;
+            while k < live {
+                let (grid, prev, res) = (&grids[k], &prevs[k], &mut results[ids[k]]);
+                res.iterations = it + 1;
                 let delta = {
-                    let num = d.lattice_diff_sumsq(&s.grid, &prev[ai]);
-                    let den = d.lattice_sumsq(&prev[ai]).max(f64::MIN_POSITIVE);
+                    let num = d.lattice_diff_sumsq(grid, prev, &whole);
+                    let den = d.lattice_sumsq(prev, &whole).max(f64::MIN_POSITIVE);
                     (num / den).sqrt()
                 };
                 h_residual.record(delta);
-                s.deltas.push(delta);
-                if cfg.tol > 0.0 && delta < cfg.tol {
-                    s.converged = true;
-                    mf_reqtrace::note_slot(r, it as u32, delta, true);
-                    continue;
-                }
+                res.deltas.push(delta);
+                let mut stop = cfg.tol > 0.0 && delta < cfg.tol;
                 if let Some(t) = &cfg.target {
-                    if s.iterations.is_multiple_of(t.every) {
-                        let mae = d.lattice_mae(&s.grid, &t.reference);
-                        s.mae_history.push((s.iterations, mae));
-                        if mae <= t.mae {
-                            s.converged = true;
-                            mf_reqtrace::note_slot(r, it as u32, delta, true);
-                            continue;
-                        }
+                    if !stop && res.iterations.is_multiple_of(t.every) {
+                        let mae = d.lattice_mae(grid, &t.reference);
+                        res.mae_history.push((res.iterations, mae));
+                        stop = mae <= t.mae;
                     }
                 }
-                mf_reqtrace::note_slot(r, it as u32, delta, false);
-                still.push(r);
+                res.converged = stop;
+                mf_reqtrace::note_slot(ids[k], it as u32, delta, stop);
+                if stop {
+                    // Retire the slot behind the live ones; the rest
+                    // keep their order.
+                    live -= 1;
+                    grids[k..=live].rotate_left(1);
+                    prevs[k..=live].rotate_left(1);
+                    ids[k..=live].rotate_left(1);
+                } else {
+                    k += 1;
+                }
             }
-            active = still;
         }
 
         // One dense launch packs every request's atomic subdomains: each
         // grid is frozen after its own convergence, so deferring the
         // fill to the end changes nothing.
-        if !states.is_empty() {
-            let interior = d.interior_offsets();
-            let pts = d.offsets_to_points(&interior);
-            let atoms = d.atomic_subdomains();
-            let boundaries = Tensor::vstack(
-                &states
-                    .iter()
-                    .flat_map(|s| atoms.iter().map(move |&sd| (s, sd)))
-                    .map(|(s, sd)| d.read_window_boundary(&s.grid, sd))
-                    .collect::<Vec<_>>(),
-            );
-            let preds = self.solver.solve_batch(&boundaries, &pts);
-            let qi = interior.len();
-            for (ri, s) in states.iter_mut().enumerate() {
-                for (bi, &sd) in atoms.iter().enumerate() {
-                    let base = ((ri * atoms.len()) + bi) * qi;
-                    for (k, &(j, i)) in interior.iter().enumerate() {
-                        s.grid.set(sd.oy + j, sd.ox + i, preds.get(base + k, 0));
-                    }
-                }
-            }
+        self.solve_into(
+            &mut grids,
+            &d.atomic_subdomains(),
+            &Targets::interior(d),
+            true,
+        );
+        for (id, grid) in ids.into_iter().zip(grids) {
+            results[id].grid = grid;
         }
-
-        states
-            .into_iter()
-            .map(|s| MfpResult {
-                grid: s.grid,
-                iterations: s.iterations,
-                converged: s.converged,
-                deltas: s.deltas,
-                mae_history: s.mae_history,
-            })
-            .collect()
+        results
     }
 
     /// The four non-overlapping sweep groups, in a fixed alternating
@@ -415,103 +301,76 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         groups
     }
 
-    /// Run one group's inferences and write the center crosses back.
-    /// `batched = false` issues one inference per subdomain (the original
-    /// baseline); within a group the results are identical because group
-    /// members never overlap.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_group(
+    /// The one subdomain kernel of the engine, shared by every sweep
+    /// (targets = center crosses) and the final dense fill (targets =
+    /// atom interiors), sequential and distributed: solve every
+    /// subdomain of `subs` on every grid and write the predictions at
+    /// `targets` back.
+    ///
+    /// `batched` stacks all `(grid, subdomain)` windows — grid-major —
+    /// into one launch (§4.1); otherwise each pair is its own launch (the
+    /// original baseline), fanned out with rayon. The two agree bitwise:
+    /// solver rows are independent, and `subs` must never read one
+    /// another's writes — true of a sweep group or any subset of one
+    /// (same-group windows share at most the one-cell seam line, which
+    /// crosses never touch), and of the atomic subdomains.
+    pub(crate) fn solve_into(
         &self,
-        grid: &mut Tensor,
-        group: &[Subdomain],
-        cross: &[(usize, usize)],
-        cross_pts: &Tensor,
+        grids: &mut [Tensor],
+        subs: &[Subdomain],
+        targets: &Targets,
         batched: bool,
-        sigma: f64,
-        forcing: Option<&Tensor>,
     ) {
-        if group.is_empty() {
+        let rows: Vec<(usize, Subdomain)> = (0..grids.len())
+            .flat_map(|g| subs.iter().map(move |&sd| (g, sd)))
+            .collect();
+        if rows.is_empty() {
             return;
         }
-        let window_forcings = |sds: &[Subdomain]| {
-            forcing.map(|f| {
-                Tensor::vstack(
-                    &sds.iter()
-                        .map(|&sd| self.domain.read_window_field(f, sd))
-                        .collect::<Vec<_>>(),
-                )
-            })
-        };
-        if batched {
-            sweep_batch_shifted(
-                self.solver,
-                &self.domain,
-                grid,
-                group,
-                cross,
-                cross_pts,
-                sigma,
-                forcing,
-            );
+        let preds: Vec<Tensor> = if batched {
+            vec![self.launch(grids, &rows, targets)]
         } else {
-            // Same-color subdomains never overlap, so their solves are
-            // independent: fan the per-subdomain launches out with rayon
-            // and write the crosses back (to disjoint lattice cells)
-            // afterwards.
-            let gridr: &Tensor = grid;
-            let preds: Vec<Tensor> = group
-                .to_vec()
+            let grids: &[Tensor] = grids;
+            rows.clone()
                 .into_par_iter()
-                .map(|sd| {
-                    let boundary = self.domain.read_window_boundary(gridr, sd);
-                    let fw = window_forcings(&[sd]);
-                    self.solver
-                        .solve_batch_shifted(sigma, &boundary, fw.as_ref(), cross_pts)
-                })
-                .collect();
-            for (&sd, p) in group.iter().zip(&preds) {
-                for (k, &(j, i)) in cross.iter().enumerate() {
-                    grid.set(sd.oy + j, sd.ox + i, p.get(k, 0));
-                }
+                .map(|row| self.launch(grids, &[row], targets))
+                .collect()
+        };
+        let mut values = preds.iter().flat_map(|p| p.as_slice().iter().copied());
+        for &(g, sd) in &rows {
+            for &(j, i) in &targets.offsets {
+                let v = values
+                    .next()
+                    .expect("solver returned one value per row and target");
+                grids[g].set(sd.oy + j, sd.ox + i, v);
             }
         }
     }
 
-    /// Final dense pass: predict every interior point of every atomic
-    /// subdomain from its current lattice boundary.
-    pub fn dense_fill(&self, grid: &mut Tensor) {
-        self.dense_fill_shifted(grid, 0.0, None)
-    }
-
-    /// Dense pass for the shifted operator.
-    pub fn dense_fill_shifted(&self, grid: &mut Tensor, sigma: f64, forcing: Option<&Tensor>) {
+    /// One solver launch over the windows of `rows`, each a `(grid
+    /// index, subdomain)` pair.
+    fn launch(&self, grids: &[Tensor], rows: &[(usize, Subdomain)], targets: &Targets) -> Tensor {
         let d = &self.domain;
-        let interior = d.interior_offsets();
-        let pts = d.offsets_to_points(&interior);
-        let atoms = d.atomic_subdomains();
         let boundaries = Tensor::vstack(
-            &atoms
+            &rows
                 .iter()
-                .map(|&sd| d.read_window_boundary(grid, sd))
+                .map(|&(g, sd)| d.read_window_boundary(&grids[g], sd))
                 .collect::<Vec<_>>(),
         );
-        let fw = forcing.map(|f| {
+        let forcings = self.shift.forcing.as_ref().map(|f| {
             Tensor::vstack(
-                &atoms
+                &rows
                     .iter()
-                    .map(|&sd| d.read_window_field(f, sd))
+                    .map(|&(_, sd)| d.read_window_field(f, sd))
                     .collect::<Vec<_>>(),
             )
         });
-        let preds = self
-            .solver
-            .solve_batch_shifted(sigma, &boundaries, fw.as_ref(), &pts);
-        let q = interior.len();
-        for (bi, &sd) in atoms.iter().enumerate() {
-            for (k, &(j, i)) in interior.iter().enumerate() {
-                grid.set(sd.oy + j, sd.ox + i, preds.get(bi * q + k, 0));
-            }
-        }
+        self.solver.solve_batch_shifted(
+            self.shift.sigma,
+            &boundaries,
+            forcings.as_ref(),
+            &targets.pts,
+        )
     }
 }
 
@@ -740,6 +599,59 @@ mod tests {
     }
 
     #[test]
+    fn run_many_honours_unbatched_launches_bitwise() {
+        // `batched: false` is the per-subdomain baseline Fig 8 times: one
+        // launch per (request, subdomain) per group, bitwise equal to the
+        // stacked launches.
+        use rand::{Rng, SeedableRng};
+        let d = DomainSpec::new(spec(), 2, 2);
+        let mfp_cfg = |batched| MfpConfig {
+            max_iters: 4,
+            tol: 0.0,
+            batched,
+            ..Default::default()
+        };
+        let bcs: Vec<Tensor> = (0..3u64)
+            .map(|s| {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(s);
+                Tensor::from_fn(1, d.boundary_len(), |_, _| rng.gen_range(-1.0..1.0))
+            })
+            .collect();
+        let batched_plan = crate::PlanSolver::new(equality_net(5), spec());
+        let single_plan = crate::PlanSolver::new(equality_net(5), spec());
+        let b = Mfp::new(&batched_plan, d).run_many(&bcs, &mfp_cfg(true));
+        let u = Mfp::new(&single_plan, d).run_many(&bcs, &mfp_cfg(false));
+        for (rb, ru) in b.iter().zip(&u) {
+            assert_eq!(rb.deltas, ru.deltas);
+            assert_grids_bitwise(&rb.grid, &ru.grid, "batched vs unbatched run_many");
+        }
+        // Four groups per iteration, one launch each when batched, one
+        // per (request, subdomain) otherwise; plus one dense-fill launch.
+        let subdomains = d.subdomains().len();
+        assert_eq!(batched_plan.launch_count(), 4 * 4 + 1);
+        assert_eq!(single_plan.launch_count(), 4 * 3 * subdomains + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MaeTarget::every must be positive")]
+    fn zero_mae_period_is_rejected() {
+        let d = DomainSpec::new(spec(), 1, 1);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let (bc, exact) = harmonic_bc(&d);
+        Mfp::new(&oracle, d).run(
+            &bc,
+            &MfpConfig {
+                target: Some(MaeTarget {
+                    reference: exact,
+                    mae: 0.0,
+                    every: 0,
+                }),
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
     fn run_many_on_empty_input_returns_empty() {
         let d = DomainSpec::new(spec(), 1, 1);
         let oracle = OracleSolver::new(spec(), 1e-10);
@@ -903,11 +815,12 @@ mod tests {
         assert!(st.converged);
 
         let oracle = OracleSolver::new(spec(), 1e-10);
-        let mfp = Mfp::new(&oracle, d);
-        let res = mfp.run_shifted(
-            &bc,
+        let mfp = Mfp::new(&oracle, d).with_shift(Shift {
             sigma,
-            Some(&forcing),
+            forcing: Some(forcing),
+        });
+        let res = mfp.run(
+            &bc,
             &MfpConfig {
                 max_iters: 300,
                 tol: 1e-9,
@@ -936,8 +849,12 @@ mod tests {
             ..Default::default()
         };
         let laplace = mfp.run(&bc, &cfg);
-        let zero_forcing = Tensor::zeros(d.ny(), d.nx());
-        let shifted = mfp.run_shifted(&bc, 200.0, Some(&zero_forcing), &cfg);
+        let shifted = Mfp::new(&oracle, d)
+            .with_shift(Shift {
+                sigma: 200.0,
+                forcing: Some(Tensor::zeros(d.ny(), d.nx())),
+            })
+            .run(&bc, &cfg);
         assert!(laplace.converged && shifted.converged);
         assert!(
             shifted.iterations < laplace.iterations,

@@ -57,7 +57,6 @@ fn main() {
     let steps = 10;
     let bc = Tensor::zeros(1, domain.boundary_len());
     let oracle = OracleSolver::new(spec, 1e-10);
-    let mfp = Mfp::new(&oracle, domain);
     let cfg = MfpConfig {
         max_iters: 400,
         tol: 1e-8,
@@ -68,9 +67,12 @@ fn main() {
     println!("step   t      max(u)   energy     Schwarz iters  MAE vs direct solve");
     let mut direct = u.clone();
     for step in 1..=steps {
-        // MFP step.
-        let forcing = u.scale(sigma);
-        let res = mfp.run_shifted(&bc, sigma, Some(&forcing), &cfg);
+        // MFP step: the shifted operator with forcing σ·uⁿ.
+        let shift = Shift {
+            sigma,
+            forcing: Some(u.scale(sigma)),
+        };
+        let res = Mfp::new(&oracle, domain).with_shift(shift).run(&bc, &cfg);
         u = res.grid.clone();
 
         // Direct global implicit-Euler step for verification.
@@ -102,7 +104,7 @@ fn main() {
     let gp_like = mosaic_flow::numerics::boundary::boundary_from_fn(ny, nx, |t| {
         (2.0 * std::f64::consts::PI * t).sin()
     });
-    let steady = mfp.run(
+    let steady = Mfp::new(&oracle, domain).run(
         &gp_like,
         &MfpConfig {
             max_iters: 2000,

@@ -239,11 +239,16 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
     let Some((sx, sy)) = domain_str
         .split_once('x')
         .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
+        .filter(|&(sx, sy)| sx >= 1 && sy >= 1)
     else {
-        eprintln!("solve: --domain must look like 4x2 (atomic subdomains)");
+        eprintln!("solve: --domain must look like 4x2 (atomic subdomains, each at least 1)");
         return ExitCode::FAILURE;
     };
     let ranks: usize = get(flags, "ranks", 1);
+    if ranks == 0 {
+        eprintln!("solve: --ranks must be at least 1");
+        return ExitCode::FAILURE;
+    }
     let coarse_init = flags.contains_key("coarse-init");
     // Scheduling knobs: `--no-overlap` falls back to the alternating
     // sweep/exchange schedule (bitwise-identical iterates, no

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use mf_infer::{InferencePlan, Workspace};
     pub use mf_mfp::{
         run_distributed, try_run_distributed, DistMfpConfig, DomainSpec, Mfp, MfpConfig,
-        NeuralSolver, OracleSolver, PlanSolver, SubdomainSolver,
+        NeuralSolver, OracleSolver, PlanSolver, Shift, SubdomainSolver,
     };
     pub use mf_nn::{Activation, EmbeddingKind, SdNet, SdNetConfig};
     pub use mf_opt::{Adam, AdamW, Lamb, LrSchedule, Optimizer, Sgd};

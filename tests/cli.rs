@@ -130,3 +130,23 @@ fn info_rejects_garbage_file() {
     assert!(!out.status.success());
     let _ = std::fs::remove_file(&path);
 }
+
+/// A `solve` flag error: exit code 1 (not a panic's 101) and a message
+/// naming the flag.
+fn assert_solve_usage_error(args: &[&str], flag: &str) {
+    let out = cli().arg("solve").args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(flag), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn solve_rejects_zero_ranks() {
+    assert_solve_usage_error(&["--domain", "2x1", "--ranks", "0"], "--ranks");
+}
+
+#[test]
+fn solve_rejects_empty_domain() {
+    assert_solve_usage_error(&["--domain", "0x1"], "--domain");
+}

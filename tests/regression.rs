@@ -21,7 +21,9 @@
 //! vectorized-backend rounding.)
 
 use mosaic_flow::data::{Dataset, SubdomainSpec};
-use mosaic_flow::mfp::{run_distributed, DistMfpConfig, DomainSpec, OracleSolver};
+use mosaic_flow::mfp::{
+    run_distributed, DistMfpConfig, DomainSpec, Mfp, MfpConfig, OracleSolver, Shift,
+};
 use mosaic_flow::nn::{SdNet, SdNetConfig};
 use mosaic_flow::opt::LrSchedule;
 use mosaic_flow::tensor::{with_backend, BackendKind, Tensor};
@@ -104,23 +106,7 @@ fn mfp_residual_trajectory_matches_fixture() {
 }
 
 fn mfp_residual_trajectory_body() {
-    let spec = SubdomainSpec { m: 9, spatial: 0.5 };
-    let d = DomainSpec::new(spec, 2, 2);
-    let oracle = OracleSolver::new(spec, 1e-10);
-    // Harmonic boundary x² − y² + x/4 along the domain walk.
-    let h = d.h();
-    let coords = mosaic_flow::numerics::boundary::boundary_coords(d.ny(), d.nx());
-    let bc = Tensor::from_vec(
-        1,
-        coords.len(),
-        coords
-            .iter()
-            .map(|&(j, i)| {
-                let (x, y) = (i as f64 * h, j as f64 * h);
-                x * x - y * y + 0.25 * x
-            })
-            .collect(),
-    );
+    let (oracle, d, bc) = harmonic_2x2();
     // Fixed iteration count (tol checks still run every iteration) so the
     // trajectory length never depends on a convergence race.
     let res = run_distributed(
@@ -142,6 +128,148 @@ fn mfp_residual_trajectory_body() {
          one relative lattice change per line",
         &res.deltas,
     );
+}
+
+/// The 2x2-atom oracle domain and harmonic boundary `x² − y² + x/4`
+/// shared by the MFP trajectory fixtures.
+fn harmonic_2x2() -> (OracleSolver, DomainSpec, Tensor) {
+    let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+    let d = DomainSpec::new(spec, 2, 2);
+    let h = d.h();
+    let coords = mosaic_flow::numerics::boundary::boundary_coords(d.ny(), d.nx());
+    let bc = Tensor::from_vec(
+        1,
+        coords.len(),
+        coords
+            .iter()
+            .map(|&(j, i)| {
+                let (x, y) = (i as f64 * h, j as f64 * h);
+                x * x - y * y + 0.25 * x
+            })
+            .collect(),
+    );
+    (OracleSolver::new(spec, 1e-10), d, bc)
+}
+
+/// Deltas followed by the final dense grid (row-major): one fixture pins
+/// both the convergence trajectory and the dense fill.
+fn deltas_and_grid(deltas: &[f64], grid: &Tensor) -> Vec<f64> {
+    deltas.iter().chain(grid.as_slice()).copied().collect()
+}
+
+#[test]
+fn sequential_mfp_trajectory_matches_fixture() {
+    with_backend(BackendKind::Scalar, || {
+        let (oracle, d, bc) = harmonic_2x2();
+        let res = Mfp::new(&oracle, d).run(
+            &bc,
+            &MfpConfig {
+                max_iters: 25,
+                tol: 1e-15,
+                ..Default::default()
+            },
+        );
+        assert_eq!(res.deltas.len(), 25);
+        check_fixture(
+            "mfp_seq.txt",
+            "Sequential MFP (Mfp::run) trajectory and final grid\n\
+             domain 2x2 atoms (m=9), oracle solver 1e-10, 25 iterations\n\
+             25 relative lattice changes, then the 17x17 grid row-major",
+            &deltas_and_grid(&res.deltas, &res.grid),
+        );
+    })
+}
+
+/// The σ = 60 heat-step problem: zero boundary, smooth forcing.
+fn shifted_problem(d: &DomainSpec) -> (Shift, Tensor) {
+    let forcing = Tensor::from_fn(d.ny(), d.nx(), |j, i| {
+        ((j as f64) * 0.3).sin() * ((i as f64) * 0.2).cos()
+    });
+    let shift = Shift {
+        sigma: 60.0,
+        forcing: Some(forcing),
+    };
+    (shift, Tensor::zeros(1, d.boundary_len()))
+}
+
+#[test]
+fn sequential_shifted_mfp_matches_fixture() {
+    with_backend(BackendKind::Scalar, || {
+        let (oracle, d, _) = harmonic_2x2();
+        let (shift, bc) = shifted_problem(&d);
+        let res = Mfp::new(&oracle, d).with_shift(shift).run(
+            &bc,
+            &MfpConfig {
+                max_iters: 300,
+                tol: 1e-9,
+                ..Default::default()
+            },
+        );
+        assert!(res.converged);
+        check_fixture(
+            "mfp_seq_shifted.txt",
+            "Sequential shifted MFP (sigma = 60) trajectory and final grid\n\
+             domain 2x2 atoms (m=9), oracle solver 1e-10, tol 1e-9\n\
+             relative lattice changes, then the 17x17 grid row-major",
+            &deltas_and_grid(&res.deltas, &res.grid),
+        );
+    })
+}
+
+#[test]
+fn distributed_shifted_mfp_matches_fixture() {
+    with_backend(BackendKind::Scalar, || {
+        let (oracle, d, _) = harmonic_2x2();
+        let (shift, bc) = shifted_problem(&d);
+        let res = run_distributed(
+            &oracle,
+            &d,
+            &bc,
+            4,
+            &DistMfpConfig {
+                max_iters: 300,
+                tol: 1e-9,
+                shift,
+                ..Default::default()
+            },
+        );
+        assert!(res.converged);
+        check_fixture(
+            "mfp_dist_shifted.txt",
+            "Distributed shifted MFP (sigma = 60) trajectory and final grid\n\
+             domain 2x2 atoms (m=9), oracle solver 1e-10, 4 ranks, tol 1e-9\n\
+             relative lattice changes, then the 17x17 grid row-major",
+            &deltas_and_grid(&res.deltas, &res.grid),
+        );
+    })
+}
+
+#[test]
+fn alternating_comm_avoiding_trajectory_matches_fixture() {
+    with_backend(BackendKind::Scalar, || {
+        let (oracle, d, bc) = harmonic_2x2();
+        let res = run_distributed(
+            &oracle,
+            &d,
+            &bc,
+            4,
+            &DistMfpConfig {
+                max_iters: 25,
+                tol: 1e-15,
+                overlap: false,
+                comm_every: 2,
+                ..Default::default()
+            },
+        );
+        assert_eq!(res.deltas.len(), 25);
+        check_fixture(
+            "mfp_alt_comm2.txt",
+            "Distributed MFP, alternating schedule, halo exchange every 2 iterations\n\
+             domain 2x2 atoms (m=9), oracle solver 1e-10, 4 ranks, 25 iterations\n\
+             25 relative lattice changes, then the 17x17 grid row-major",
+            &deltas_and_grid(&res.deltas, &res.grid),
+        );
+    })
 }
 
 #[test]
